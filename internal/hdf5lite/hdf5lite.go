@@ -16,14 +16,12 @@
 package hdf5lite
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
+	"scidp/internal/codec"
 	"scidp/internal/ioengine"
 	"scidp/internal/sim"
 )
@@ -266,14 +264,10 @@ func (w *Writer) Bytes() ([]byte, error) {
 				raw := d.data[int64(r)*rb : int64(r+n)*rb]
 				payload := raw
 				if d.Deflate > 0 {
-					var buf bytes.Buffer
-					fw, err := flate.NewWriter(&buf, d.Deflate)
-					if err != nil {
+					var err error
+					if payload, err = codec.Deflate(raw, d.Deflate); err != nil {
 						return err
 					}
-					fw.Write(raw)
-					fw.Close()
-					payload = buf.Bytes()
 				}
 				ck := Chunk{RowStart: r, Rows: n, StoredSize: int64(len(payload)), RawSize: int64(len(raw))}
 				if !w.noStats {
@@ -613,8 +607,7 @@ func chunkDecoder(d *Dataset, c Chunk) func(raw []byte) ([]byte, error) {
 			return nil, fmt.Errorf("hdf5lite: truncated chunk at %d", c.Offset)
 		}
 		if d.Deflate > 0 {
-			fr := flate.NewReader(bytes.NewReader(raw))
-			out, err := io.ReadAll(fr)
+			out, err := codec.Inflate(raw, c.RawSize)
 			if err != nil {
 				return nil, err
 			}

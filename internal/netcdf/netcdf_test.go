@@ -10,7 +10,7 @@ import (
 
 // buildFile assembles a small 3-D float32 file resembling one NU-WRF
 // timestamp: var QR[level][lat][lon], chunked one level per chunk.
-func buildFile(t *testing.T, nz, ny, nx, deflate int) ([]byte, []float32) {
+func buildFile(t testing.TB, nz, ny, nx, deflate int) ([]byte, []float32) {
 	t.Helper()
 	w := NewWriter()
 	for _, d := range []struct {

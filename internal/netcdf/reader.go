@@ -1,11 +1,9 @@
 package netcdf
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 
+	"scidp/internal/codec"
 	"scidp/internal/ioengine"
 	"scidp/internal/sim"
 )
@@ -162,8 +160,7 @@ func chunkDecoder(v *Var, ci ChunkInfo) func(raw []byte) ([]byte, error) {
 			return nil, fmt.Errorf("netcdf: %s: truncated chunk at %d", v.Name, ci.Offset)
 		}
 		if v.Deflate > 0 {
-			fr := flate.NewReader(bytes.NewReader(raw))
-			out, err := io.ReadAll(fr)
+			out, err := codec.Inflate(raw, ci.RawSize)
 			if err != nil {
 				return nil, fmt.Errorf("netcdf: %s: inflate: %w", v.Name, err)
 			}

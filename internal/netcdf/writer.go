@@ -1,9 +1,9 @@
 package netcdf
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
+
+	"scidp/internal/codec"
 )
 
 // Writer assembles a file in memory: declare dimensions and variables,
@@ -343,18 +343,5 @@ func splitChunks(v *Var, raw []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// deflateBytes compresses b at the given level.
-func deflateBytes(b []byte, level int) ([]byte, error) {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// deflateBytes compresses b at the given level with a pooled compressor.
+func deflateBytes(b []byte, level int) ([]byte, error) { return codec.Deflate(b, level) }

@@ -452,34 +452,39 @@ func ReadTable(text []byte) (*Frame, error) {
 }
 
 // inferColumn type-infers a raw string vector: all-int, else all-float,
-// else string.
+// else string. One pass: each value is parsed as an int while every value
+// so far was one, then as a float while every value so far was one, and
+// the first value that is neither settles the column as strings.
 func inferColumn(name string, vals []string) *Column {
-	isInt, isFloat := true, true
-	for _, v := range vals {
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			isInt = false
+	ints := []int64{}
+	var floats []float64
+	for i, v := range vals {
+		if floats == nil {
+			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+				if i == 0 {
+					ints = make([]int64, len(vals))
+				}
+				ints[i] = n
+				continue
+			}
+			// The column turns float: carry the ints over as ParseFloat
+			// would have read them (only "-0" differs, by its sign).
+			floats = make([]float64, len(vals))
+			for j, n := range ints[:i] {
+				floats[j] = float64(n)
+				if n == 0 && vals[j][0] == '-' {
+					floats[j] = math.Copysign(0, -1)
+				}
+			}
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			isFloat = false
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return &Column{Name: name, Kind: String, S: vals}
 		}
-		if !isInt && !isFloat {
-			break
-		}
+		floats[i] = f
 	}
-	switch {
-	case isInt:
-		out := make([]int64, len(vals))
-		for i, v := range vals {
-			out[i], _ = strconv.ParseInt(v, 10, 64)
-		}
-		return &Column{Name: name, Kind: Int, I: out}
-	case isFloat:
-		out := make([]float64, len(vals))
-		for i, v := range vals {
-			out[i], _ = strconv.ParseFloat(v, 64)
-		}
-		return &Column{Name: name, Kind: Float, F: out}
-	default:
-		return &Column{Name: name, Kind: String, S: vals}
+	if floats == nil {
+		return &Column{Name: name, Kind: Int, I: ints}
 	}
+	return &Column{Name: name, Kind: Float, F: floats}
 }
