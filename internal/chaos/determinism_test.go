@@ -38,8 +38,8 @@ const testPlan = `{
 // recovery-enabled testbed: it returns the sha256 over every /results
 // file (read back in sorted order) and the raw export byte streams.
 // workers sizes the data-plane compute pool (0 = no data plane, the
-// pre-two-plane engine).
-func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (digest string, trace, prom []byte) {
+// pre-two-plane engine); analysis selects the Anlys case.
+func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int, analysis solutions.AnalysisKind) (digest string, trace, prom []byte) {
 	t.Helper()
 	s := bench.QuickScale()
 	cfg := bench.FaultsEnvConfig(s)
@@ -54,7 +54,7 @@ func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (dig
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
+	wl := &solutions.Workload{Dataset: ds, Var: "QR", Analysis: analysis}
 	var runErr error
 	env.K.Go("driver", func(p *sim.Proc) {
 		switch solution {
@@ -127,8 +127,8 @@ func TestDeterminismUnderChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d1, trace1, prom1 := chaosRun(t, solution, plan, 0)
-			d2, trace2, prom2 := chaosRun(t, solution, plan, 0)
+			d1, trace1, prom1 := chaosRun(t, solution, plan, 0, solutions.AnalysisNone)
+			d2, trace2, prom2 := chaosRun(t, solution, plan, 0, solutions.AnalysisNone)
 			if d1 != d2 {
 				t.Errorf("output digests differ across same-seed runs: %s vs %s", d1, d2)
 			}
@@ -141,7 +141,7 @@ func TestDeterminismUnderChaos(t *testing.T) {
 
 			// The fault-free run must produce the same output bytes: the
 			// chaos plan may only cost time, never change results.
-			clean, _, _ := chaosRun(t, solution, nil, 0)
+			clean, _, _ := chaosRun(t, solution, nil, 0, solutions.AnalysisNone)
 			if clean != d1 {
 				t.Errorf("output under chaos differs from fault-free output: %s vs %s", d1, clean)
 			}
@@ -152,8 +152,10 @@ func TestDeterminismUnderChaos(t *testing.T) {
 // TestDeterminismAcrossWorkerCounts extends the headline guarantee to
 // the two-plane executor: with the data plane enabled, the worker count
 // is invisible — workers=1 and workers=4 produce byte-identical output
-// digests and observability exports, with and without a chaos plan, and
-// two same-seed runs at workers=4 are byte-identical too.
+// digests and observability exports, with and without a chaos plan, for
+// Img-only and both Anlys cases (whose per-task query and renders run on
+// the data plane across their charges), and two same-seed runs at
+// workers=4 are byte-identical too.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	plan, err := chaos.ParsePlan([]byte(testPlan))
 	if err != nil {
@@ -167,25 +169,37 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		{"clean", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d1, trace1, prom1 := chaosRun(t, "scidp", tc.plan, 1)
-			d4, trace4, prom4 := chaosRun(t, "scidp", tc.plan, 4)
-			if d1 != d4 {
-				t.Errorf("output digests differ across worker counts: %s vs %s", d1, d4)
-			}
-			if !bytes.Equal(trace1, trace4) {
-				t.Error("Chrome-trace exports differ across worker counts")
-			}
-			if !bytes.Equal(prom1, prom4) {
-				t.Error("Prometheus exports differ across worker counts")
-			}
-			// Same-seed repeat at workers=4: pooled runs are also
-			// reproducible against themselves, not just against workers=1.
-			d4b, trace4b, prom4b := chaosRun(t, "scidp", tc.plan, 4)
-			if d4 != d4b {
-				t.Errorf("workers=4 digests differ across same-seed runs: %s vs %s", d4, d4b)
-			}
-			if !bytes.Equal(trace4, trace4b) || !bytes.Equal(prom4, prom4b) {
-				t.Error("workers=4 exports differ across same-seed runs")
+			for _, c := range []struct {
+				name     string
+				analysis solutions.AnalysisKind
+			}{
+				{"imgonly", solutions.AnalysisNone},
+				{"highlight", solutions.AnalysisHighlight},
+				{"top1pct", solutions.AnalysisTop1Pct},
+			} {
+				t.Run(c.name, func(t *testing.T) {
+					d1, trace1, prom1 := chaosRun(t, "scidp", tc.plan, 1, c.analysis)
+					d4, trace4, prom4 := chaosRun(t, "scidp", tc.plan, 4, c.analysis)
+					if d1 != d4 {
+						t.Errorf("output digests differ across worker counts: %s vs %s", d1, d4)
+					}
+					if !bytes.Equal(trace1, trace4) {
+						t.Error("Chrome-trace exports differ across worker counts")
+					}
+					if !bytes.Equal(prom1, prom4) {
+						t.Error("Prometheus exports differ across worker counts")
+					}
+					// Same-seed repeat at workers=4: pooled runs are also
+					// reproducible against themselves, not just against
+					// workers=1.
+					d4b, trace4b, prom4b := chaosRun(t, "scidp", tc.plan, 4, c.analysis)
+					if d4 != d4b {
+						t.Errorf("workers=4 digests differ across same-seed runs: %s vs %s", d4, d4b)
+					}
+					if !bytes.Equal(trace4, trace4b) || !bytes.Equal(prom4, prom4b) {
+						t.Error("workers=4 exports differ across same-seed runs")
+					}
+				})
 			}
 		})
 	}

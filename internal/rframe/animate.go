@@ -35,6 +35,9 @@ func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 	}
 	anim := &gif.GIF{}
 	var bounds image.Rectangle
+	// index memoizes the nearest-palette search, which depends only on
+	// the decoded color's RGBA values; frames repeat few colors.
+	index := map[[4]uint32]uint8{}
 	for i, data := range pngFrames {
 		img, err := png.Decode(bytes.NewReader(data))
 		if err != nil {
@@ -48,7 +51,14 @@ func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 		pal := image.NewPaletted(bounds, jetPalette)
 		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
 			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				pal.Set(x, y, img.At(x, y))
+				c := img.At(x, y)
+				r, g, b, a := c.RGBA()
+				i, ok := index[[4]uint32{r, g, b, a}]
+				if !ok {
+					i = uint8(jetPalette.Index(c))
+					index[[4]uint32{r, g, b, a}] = i
+				}
+				pal.SetColorIndex(x, y, i)
 			}
 		}
 		anim.Image = append(anim.Image, pal)

@@ -7,7 +7,23 @@ import (
 	"image/color"
 	"image/png"
 	"math"
+	"sync"
 )
+
+// pngEncoder encodes every Image2D output. Its buffer pool keeps the
+// encoder state, whose zlib writer is ~800 KB, across calls; a reused
+// writer is Reset, so the bytes match png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: &pngBufferPool{}}
+
+// pngBufferPool is a sync.Pool-backed png.EncoderBufferPool.
+type pngBufferPool struct{ pool sync.Pool }
+
+func (p *pngBufferPool) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
 // PlotOpts configures Image2D, mirroring plot3D::image2D on a CairoPNG
 // device.
@@ -76,7 +92,7 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 		markCell(img, pt, ny, nx)
 	}
 	var buf bytes.Buffer
-	if err := png.Encode(&buf, img); err != nil {
+	if err := pngEncoder.Encode(&buf, img); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

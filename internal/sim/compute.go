@@ -14,8 +14,9 @@
 // registries, or touch shared caches — all of those must stay on the
 // kernel thread, in event order. Results join back via Proc.Await,
 // which schedules a single event at the current instant and blocks the
-// kernel — in real time only — until every future has resolved. The
-// event schedule is therefore identical for any worker count, so job
+// kernel — in real time only — until every future has resolved, or via
+// Proc.Join, which blocks the same way but schedules nothing. Either
+// way the event schedule is identical for any worker count, so job
 // outputs, trace exports, and metrics stay byte-identical whether the
 // pool has one worker or sixty-four.
 package sim
@@ -46,7 +47,7 @@ type poolTask struct {
 
 // Future is the join handle for one offloaded closure. It resolves when
 // the closure returns or panics; a recovered panic value is re-raised by
-// Proc.Await in the awaiting process's context.
+// Proc.Await or Proc.Join in the joining process's context.
 type Future struct {
 	done     chan struct{}
 	panicked any
@@ -137,9 +138,9 @@ func (k *Kernel) ComputePool() *ComputePool { return k.pool }
 
 // Compute offloads fn to the kernel's data plane and returns its join
 // handle. With no pool attached it runs fn inline and returns nil
-// (Await ignores nil futures). fn must follow the package-level
+// (Await and Join ignore nil futures). fn must follow the package-level
 // determinism contract: pure byte work only, no sim/obs/cache access.
-// Call Await before reading anything fn writes.
+// Call Await or Join before reading anything fn writes.
 func (p *Proc) Compute(fn func()) *Future {
 	k := p.k
 	if k.obs != nil {
@@ -180,6 +181,34 @@ func (p *Proc) Await(futs ...*Future) {
 		k.resume(p)
 	})
 	p.pause()
+	repanic(futs)
+}
+
+// Join blocks the process until every non-nil future has resolved,
+// without scheduling any event: it waits in process context, in real
+// time only, while the kernel thread waits for the process to park. It
+// re-panics like Await if a joined closure panicked.
+//
+// Use Join when the closure was forked before a Sleep, Charge or
+// Transfer that models its cost, and is joined when that wait ends: the
+// closure ran during the wait, and the event schedule is exactly the
+// one running it inline at the join point gives, for a nil pool, an
+// inline pool and any worker count. Use Await when closures are forked
+// and joined within one instant: its zero-time event lets every process
+// due at that instant fork first, so their closures overlap. Join there
+// would serialize them, and Await after a wait would add an event that
+// reorders tasks resuming at the same instant.
+func (p *Proc) Join(futs ...*Future) {
+	for _, f := range futs {
+		if f != nil {
+			<-f.done
+		}
+	}
+	repanic(futs)
+}
+
+// repanic re-raises the first joined closure's panic in process context.
+func repanic(futs []*Future) {
 	for _, f := range futs {
 		if f != nil && f.panicked != nil {
 			panic(fmt.Sprintf("data-plane compute panicked: %v", f.panicked))

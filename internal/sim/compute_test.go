@@ -160,3 +160,96 @@ func TestComputePoolCloseIdempotent(t *testing.T) {
 		t.Fatalf("negative worker count normalized to %d, want 0", w)
 	}
 }
+
+// joinTimeline runs processes that fork a closure, sleep the modeled
+// charge and join it (or, when inline is set, sleep and then run the
+// closure in place) and returns the resume log, the event count and the
+// final instant.
+func joinTimeline(pool *ComputePool, inline bool) ([]string, uint64, float64) {
+	k := NewKernel()
+	if pool != nil {
+		defer pool.Close()
+		k.SetComputePool(pool)
+	}
+	var log []string
+	for pi := 0; pi < 4; pi++ {
+		pi := pi
+		k.Go(fmt.Sprintf("p%d", pi), func(p *Proc) {
+			for round := 0; round < 3; round++ {
+				p.Sleep(0.01 * float64(pi%2))
+				var sum int
+				work := func() { sum = busyWork(pi + round) }
+				if inline {
+					p.Sleep(0.5)
+					work()
+				} else {
+					fut := p.Compute(work)
+					p.Sleep(0.5)
+					p.Join(fut)
+				}
+				log = append(log, fmt.Sprintf("p%d r%d t=%.6f sum=%d", pi, round, p.Now(), sum))
+			}
+		})
+	}
+	k.Run()
+	return log, k.EventsProcessed(), k.Now()
+}
+
+// TestJoinMatchesInline: Join schedules no event, so fork, charge, join
+// replays exactly the event schedule of running the closure inline after
+// the charge — with no pool, an inline pool, and a worker pool.
+func TestJoinMatchesInline(t *testing.T) {
+	ref, refEvents, refNow := joinTimeline(nil, true)
+	for _, c := range []struct {
+		name string
+		pool *ComputePool
+	}{
+		{"nil", nil},
+		{"pool0", NewComputePool(0)},
+		{"pool4", NewComputePool(4)},
+	} {
+		got, events, now := joinTimeline(c.pool, false)
+		if events != refEvents || now != refNow {
+			t.Errorf("%s: %d events ending at t=%v, inline gives %d at t=%v", c.name, events, now, refEvents, refNow)
+		}
+		if strings.Join(got, "\n") != strings.Join(ref, "\n") {
+			t.Errorf("%s: resume log\n%s\nwant\n%s", c.name, strings.Join(got, "\n"), strings.Join(ref, "\n"))
+		}
+	}
+}
+
+// TestJoinIgnoresNil: Join of nil futures returns at once and schedules
+// nothing.
+func TestJoinIgnoresNil(t *testing.T) {
+	k := NewKernel()
+	k.Go("p", func(p *Proc) {
+		seqBefore := k.seq
+		p.Join(nil, nil)
+		p.Join()
+		if k.seq != seqBefore {
+			t.Error("Join scheduled an event")
+		}
+	})
+	k.Run()
+}
+
+// TestJoinPanicPropagates: a panicking joined closure re-raises in the
+// joining process's context with Await's message.
+func TestJoinPanicPropagates(t *testing.T) {
+	pool := NewComputePool(2)
+	defer pool.Close()
+	k := NewKernel()
+	k.SetComputePool(pool)
+	k.Go("fated", func(p *Proc) {
+		fut := p.Compute(func() { panic("render exploded") })
+		p.Sleep(1)
+		p.Join(nil, fut)
+	})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, `process "fated" panicked: data-plane compute panicked: render exploded`) {
+			t.Fatalf("panic %q does not name the process and cause", msg)
+		}
+	}()
+	k.Run()
+}

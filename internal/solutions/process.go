@@ -134,8 +134,12 @@ type taskOutput struct {
 
 // processGrid is the per-task body shared by every solution: optional SQL
 // analysis, then one plotted image per level (with highlights marked when
-// requested).
+// requested). The query and the renders are pure byte work, so each is
+// forked onto the data plane when the charge that models it starts and
+// joined when that charge ends; the closures write only to slots local
+// to this call, so an attempt killed mid-charge may abandon them.
 func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (*taskOutput, error) {
+	p := tc.Proc()
 	out := &taskOutput{}
 	highlight := map[int][]rframe.GridPoint{}
 
@@ -144,14 +148,21 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 		if err != nil {
 			return nil, err
 		}
+		sql := "SELECT level, lat, lon, value FROM df ORDER BY value DESC LIMIT 10"
+		if wl.Analysis == AnalysisTop1Pct {
+			sql = fmt.Sprintf("SELECT t, level, lat, lon, value FROM df ORDER BY value DESC LIMIT %d",
+				int(math.Ceil(float64(df.NumRows())/100)))
+		}
+		var top *rframe.Frame
+		var qerr error
+		fut := p.Compute(func() { top, qerr = rsql.Query(map[string]*rframe.Frame{"df": df}, sql) })
 		tc.Charge("Analysis", env.Cfg.Cost.AnalysisPerMB*env.scaleMB(len(g.vals)*4))
-		tables := map[string]*rframe.Frame{"df": df}
+		p.Join(fut)
+		if qerr != nil {
+			return nil, qerr
+		}
 		switch wl.Analysis {
 		case AnalysisHighlight:
-			top, err := rsql.Query(tables, "SELECT level, lat, lon, value FROM df ORDER BY value DESC LIMIT 10")
-			if err != nil {
-				return nil, err
-			}
 			for r := 0; r < top.NumRows(); r++ {
 				l := int(top.Col("level").Float64At(r))
 				highlight[l] = append(highlight[l], rframe.GridPoint{
@@ -160,28 +171,28 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 				})
 			}
 		case AnalysisTop1Pct:
-			limit := int(math.Ceil(float64(df.NumRows()) / 100))
-			top, err := rsql.Query(tables, fmt.Sprintf(
-				"SELECT t, level, lat, lon, value FROM df ORDER BY value DESC LIMIT %d", limit))
-			if err != nil {
-				return nil, err
-			}
 			out.analysis = top
 		}
 	}
 
+	pngs := make([][]byte, g.levels)
+	errs := make([]error, g.levels)
+	futs := make([]*sim.Future, g.levels)
+	for l := range futs {
+		opts := rframe.PlotOpts{
+			Width: env.Cfg.PlotRes, Height: env.Cfg.PlotRes,
+			Highlight: highlight[g.levelOrigin+l],
+		}
+		futs[l] = p.Compute(func() { pngs[l], errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts) })
+	}
 	for l := 0; l < g.levels; l++ {
 		tc.Charge("Plot", env.plotCharge(sequential))
-		global := g.levelOrigin + l
-		png, err := rframe.Image2D(g.level(l), g.ny, g.nx, rframe.PlotOpts{
-			Width: env.Cfg.PlotRes, Height: env.Cfg.PlotRes,
-			Highlight: highlight[global],
-		})
-		if err != nil {
-			return nil, err
+		p.Join(futs[l])
+		if errs[l] != nil {
+			return nil, errs[l]
 		}
-		out.images = append(out.images, png)
-		out.levels = append(out.levels, global)
+		out.images = append(out.images, pngs[l])
+		out.levels = append(out.levels, g.levelOrigin+l)
 	}
 	return out, nil
 }
