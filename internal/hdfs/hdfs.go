@@ -399,6 +399,9 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 // WriteFile stores data as a new real file written by client, charging a
 // NameNode RPC per block plus the replication pipeline transfers. The
 // first replica lands on the client's node when the client is a DataNode.
+// The blocks keep sub-slices of data without copying it, so the caller
+// must not modify data afterwards — the same shared, read-only contract
+// as the slice ReadBlock returns.
 func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []byte) error {
 	path = clean(path)
 	if _, exists := fs.inodes[path]; exists {
@@ -425,8 +428,7 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 			return fault.Transient("dn-down", "hdfs: create %s: no live DataNodes", path)
 		}
 		fs.nextID++
-		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps}
-		b.data = append([]byte(nil), chunk...)
+		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps, data: chunk}
 		// Replication pipeline: client -> r1 -> r2 -> ... Each hop is a
 		// leg of the parallel transfer (pipelining overlaps hops).
 		var parts []sim.Part

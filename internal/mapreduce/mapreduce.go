@@ -382,18 +382,6 @@ func (tc *TaskContext) Charge(phase string, d float64) {
 	tc.addPhase(phase, charged)
 }
 
-// Compute runs fn on the kernel's data plane (sim.ComputePool) and
-// blocks the task — in real time only, zero virtual time — until it
-// returns. Use it around the pure byte work of a map or reduce function
-// (parsing, scanning, sorting); model the work's cost separately with
-// Charge. fn must not call Charge, Phase, or any simulation API, and
-// must not touch state shared with other tasks. Emit and Counter are
-// safe inside fn because the task itself stays parked until fn returns.
-// Without a pool on the kernel, fn runs inline — same result, serially.
-func (tc *TaskContext) Compute(fn func()) {
-	tc.proc.Await(tc.proc.Compute(fn))
-}
-
 // Phase runs fn and attributes its virtual duration to the named phase —
 // use it around I/O so transfer time lands in the right bucket.
 func (tc *TaskContext) Phase(name string, fn func()) {
@@ -863,7 +851,7 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 
 	if reducers == 0 {
 		res.Output = mapOnly
-		sortKVs(res.Output)
+		sortRun(res.Output)
 		res.End = p.Now()
 		return res, nil
 	}
@@ -952,7 +940,7 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 	for _, part := range finalParts {
 		res.Output = append(res.Output, part...)
 	}
-	sortKVs(res.Output)
+	sortRun(res.Output)
 	res.End = p.Now()
 	return res, nil
 }

@@ -21,16 +21,86 @@
 // a scratch slice.
 package mapreduce
 
-import (
-	"slices"
-	"strings"
-	"sync"
-)
+import "sync"
 
-// sortRun stable-sorts one run by key, preserving emission order within
-// equal keys.
+// insertionMax is the run length at and below which sortRun switches to
+// insertion sort.
+const insertionMax = 12
+
+// sortRun stable-sorts a run (or a job's final output) by key,
+// preserving emission order within equal keys, so it orders pairs
+// exactly as slices.SortStableFunc does. It is a top-down merge sort
+// with insertion sort on short spans and a pooled half-length scratch
+// buffer: O(n log n) comparisons and no allocation in steady state.
 func sortRun(kvs []KV) {
-	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.K, b.K) })
+	if len(kvs) <= insertionMax {
+		insertionSortKVs(kvs)
+		return
+	}
+	p := getSortBuf(len(kvs) / 2)
+	mergeSortKVs(kvs, *p)
+	putSortBuf(p)
+}
+
+// mergeSortKVs sorts kvs stably, using buf (len >= len(kvs)/2) to hold
+// the left half while merging.
+func mergeSortKVs(kvs, buf []KV) {
+	if len(kvs) <= insertionMax {
+		insertionSortKVs(kvs)
+		return
+	}
+	m := len(kvs) / 2
+	mergeSortKVs(kvs[:m], buf)
+	mergeSortKVs(kvs[m:], buf)
+	if kvs[m-1].K <= kvs[m].K {
+		return // halves already in order
+	}
+	left := buf[:m]
+	copy(left, kvs[:m])
+	i, j, k := 0, m, 0
+	for i < len(left) && j < len(kvs) {
+		// Ties take the left element: stability.
+		if kvs[j].K < left[i].K {
+			kvs[k] = kvs[j]
+			j++
+		} else {
+			kvs[k] = left[i]
+			i++
+		}
+		k++
+	}
+	// Right leftovers are already in place.
+	copy(kvs[k:], left[i:])
+}
+
+func insertionSortKVs(kvs []KV) {
+	for i := 1; i < len(kvs); i++ {
+		for j := i; j > 0 && kvs[j].K < kvs[j-1].K; j-- {
+			kvs[j], kvs[j-1] = kvs[j-1], kvs[j]
+		}
+	}
+}
+
+// sortBufPool recycles sortRun's merge scratch. Data-plane workers sort
+// concurrently, and sync.Pool hands each its own buffer.
+var sortBufPool sync.Pool
+
+// getSortBuf returns a pooled scratch buffer of length n, allocating when
+// the pool is empty or its buffer is too short.
+func getSortBuf(n int) *[]KV {
+	if p, _ := sortBufPool.Get().(*[]KV); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]KV, n)
+	return &s
+}
+
+// putSortBuf clears the scratch (dropping key/value references) and
+// returns it to the pool.
+func putSortBuf(p *[]KV) {
+	clear(*p)
+	sortBufPool.Put(p)
 }
 
 // runIsSorted reports whether a run is already in key order.
@@ -404,10 +474,4 @@ func putVals(p *[]any) {
 	clear(s)
 	*p = s[:0]
 	valsPool.Put(p)
-}
-
-// sortKVs stable-sorts final job output by key, preserving insertion
-// order within equal keys.
-func sortKVs(kvs []KV) {
-	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.K, b.K) })
 }

@@ -74,7 +74,11 @@ func (f *File) decodeHeader(hdr []byte) error {
 	d := &dec{buf: hdr}
 	nd := int(d.u32())
 	for i := 0; i < nd && d.err == nil; i++ {
-		f.dims = append(f.dims, Dim{Name: d.str(), Len: int(d.u64())})
+		dim := Dim{Name: d.str(), Len: int(d.u64())}
+		if dim.Len < 0 {
+			return fmt.Errorf("netcdf: dimension %q has negative length %d", dim.Name, dim.Len)
+		}
+		f.dims = append(f.dims, dim)
 	}
 	f.gattrs = d.attrs()
 	nv := int(d.u32())
@@ -93,6 +97,14 @@ func (f *File) decodeHeader(hdr []byte) error {
 		}
 		v.Deflate = int(d.u8())
 		nc := int(d.u32())
+		// The geometry sizes the chunk grid and every later allocation:
+		// reject what would divide by zero or go negative first.
+		if d.err != nil {
+			return d.err
+		}
+		if err := v.checkGeometry(); err != nil {
+			return err
+		}
 		grid := v.chunkGrid()
 		idx := zeros(len(v.Dims))
 		for j := 0; j < nc && d.err == nil; j++ {
@@ -130,6 +142,22 @@ func (f *File) decodeHeader(hdr []byte) error {
 	}
 	if d.err != nil {
 		return d.err
+	}
+	return nil
+}
+
+// checkGeometry rejects a decoded variable whose dimension lengths are
+// negative or whose chunk extents are not positive.
+func (v *Var) checkGeometry() error {
+	for _, dim := range v.Dims {
+		if dim.Len < 0 {
+			return fmt.Errorf("netcdf: %s: dimension %q has negative length %d", v.Name, dim.Name, dim.Len)
+		}
+	}
+	for j, c := range v.ChunkShape {
+		if c <= 0 {
+			return fmt.Errorf("netcdf: %s: chunk extent %d along %q is not positive", v.Name, c, v.Dims[j].Name)
+		}
 	}
 	return nil
 }

@@ -106,9 +106,13 @@ func (s *Service) runGrep(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	job.Input = s.be.Input(s.inputs[:files], 0)
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
 		data := value.([]byte)
-		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
+		// The count runs on the data plane during the Scan charge that
+		// models it. It writes only n, so an attempt pre-empted
+		// mid-charge can abandon it.
 		var n int64
-		tc.Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
+		fut := tc.Proc().Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
+		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
+		tc.Proc().Await(fut)
 		tc.Emit("count", n)
 		return nil
 	}
@@ -144,12 +148,16 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	}
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
 		data := value.([]byte)
-		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
-		tc.Compute(func() {
+		// Record extraction runs on the data plane during the Scan
+		// charge. Emit fills only this attempt's buckets, which a
+		// pre-empted attempt abandons with the future.
+		fut := tc.Proc().Compute(func() {
 			for off := 0; off+rec <= len(data); off += rec {
 				tc.Emit(string(data[off:off+10]), rec)
 			}
 		})
+		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
+		tc.Proc().Await(fut)
 		return nil
 	}
 	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
@@ -173,7 +181,7 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	for r := 0; r < s.cfg.Reducers; r++ {
 		node := s.env.BD.Nodes[r%len(s.env.BD.Nodes)]
 		path := fmt.Sprintf("%s/part-%05d", s.outDir(j), r)
-		if err := s.be.Write(p, node, path, make([]byte, perRed)); err != nil {
+		if err := s.be.Write(p, node, path, s.zeros(perRed)); err != nil {
 			return err
 		}
 		j.OutputBytes += perRed
@@ -192,7 +200,7 @@ func (s *Service) runWrite(p *sim.Proc, j *Job, job *mapreduce.Job, files int) e
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
 		i := value.(int)
 		path := fmt.Sprintf("%s/part-%04d", s.outDir(j), i)
-		data := make([]byte, s.cfg.FileBytes)
+		data := s.zeros(s.cfg.FileBytes)
 		tc.Charge("Format", s.cfg.ScanPerMB*float64(len(data))/2e6)
 		var err error
 		tc.Phase("Write", func() {
@@ -215,6 +223,17 @@ func (s *Service) runWrite(p *sim.Proc, j *Job, job *mapreduce.Job, files int) e
 	j.Result = written
 	j.OutputBytes = written
 	return nil
+}
+
+// zeros returns n zero bytes cut from one buffer shared by every
+// output the service writes. HDFS keeps written slices without copying
+// them and nothing writes into them, so a fresh buffer per file would
+// only be garbage.
+func (s *Service) zeros(n int64) []byte {
+	if int64(len(s.zeroBuf)) < n {
+		s.zeroBuf = make([]byte, n)
+	}
+	return s.zeroBuf[:n]
 }
 
 // writeResult stores a small result file in the job's output dir from

@@ -1,6 +1,9 @@
 package tenant
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -20,10 +23,18 @@ func mtChaosPlan() *chaos.Plan {
 	}}
 }
 
+// replayRun is what one replay of the unit trace is checked by.
+type replayRun struct {
+	digest  string // svc.Digest(): completion order and outcomes
+	summary string // the summary JSON
+	export  string // sha256 of Chrome trace + Prometheus, as RegistryDigest
+	trace   string // sha256 of the Chrome trace alone
+	events  uint64 // kernel events processed
+}
+
 // replayOnce builds a fresh env+service at the given worker count
-// (optionally with the chaos plan) and replays the unit trace, returning
-// the service digest, the summary JSON, and the export digest.
-func replayOnce(t *testing.T, workers int, withChaos bool) (string, string, string) {
+// (optionally with the chaos plan) and replays the unit trace.
+func replayOnce(t *testing.T, workers int, withChaos bool) replayRun {
 	t.Helper()
 	reg := obs.New()
 	reg.SetProcess("scidpd") // fixed: worker count must not appear in exports
@@ -54,7 +65,27 @@ func replayOnce(t *testing.T, workers int, withChaos bool) (string, string, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc.Digest(), string(sumJSON), RegistryDigest(reg)
+	// One export, as scidpd writes it: collectors run on every export
+	// and append gauge samples, so a second export would differ.
+	var trace, prom bytes.Buffer
+	if err := reg.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	return replayRun{
+		digest:  svc.Digest(),
+		summary: string(sumJSON),
+		export:  sha256Hex(trace.String() + prom.String()),
+		trace:   sha256Hex(trace.String()),
+		events:  env.K.EventsProcessed(),
+	}
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 // TestReplayDeterministicAcrossWorkers is the subsystem's determinism
@@ -65,23 +96,51 @@ func replayOnce(t *testing.T, workers int, withChaos bool) (string, string, stri
 // which is a different event-schedule shape: Await join events are
 // never scheduled. The byte-identity contract, here as in the parallel
 // bench, is across pooled counts.)
+//
+// The completion digest, summary, Chrome trace and event count are also
+// pinned, so map scans, shuffle sorts and block I/O may change how host
+// bytes move but never the event schedule. The Prometheus text is only
+// compared across worker counts: sim_compute_tasks_total counts
+// data-plane closures, including those of attempts pre-empted
+// mid-charge, so it is not a schedule invariant.
 func TestReplayDeterministicAcrossWorkers(t *testing.T) {
-	for _, withChaos := range []bool{false, true} {
-		name := "clean"
-		if withChaos {
-			name = "chaos"
-		}
-		t.Run(name, func(t *testing.T) {
-			refDigest, refSum, refExport := replayOnce(t, -1, withChaos)
-			for _, workers := range []int{1, 4} {
-				d, s, e := replayOnce(t, workers, withChaos)
-				if d != refDigest {
-					t.Errorf("workers=%d: completion digest diverged", workers)
+	golden := []struct {
+		name                   string
+		chaos                  bool
+		digest, summary, trace string
+		events                 uint64
+	}{
+		{"clean", false,
+			"437754d5554164102cf077dab71d1b00119ed0250f9f1aae316f29c3c5f8a76b",
+			"c03442a7c36d158e02acf9bae3453d3caf94ee26a5a0fc9bdfb6f1c64e6da279",
+			"71b04c22d76a6fe17f1c56d2fa49e1a4d2d9150ffdfaf3cb0614faebde7bbe9f",
+			697},
+		{"chaos", true,
+			"9306d1b015c83506b20c1eec2ce2f20a7461f7d3fb46594fd09a86f5d75543f1",
+			"0a5d6171709bc410ba51864fda823cdf40c3edfb9b0bb63a9827d5168f33dc25",
+			"4471c6fdd049f407218d7f12ea2909fa88be4014a732871735b5226090bfc65e",
+			856},
+	}
+	for _, g := range golden {
+		t.Run(g.name, func(t *testing.T) {
+			var refExport string
+			for _, workers := range []int{-1, 1, 4} {
+				r := replayOnce(t, workers, g.chaos)
+				if r.digest != g.digest {
+					t.Errorf("workers=%d: completion digest %s, want %s", workers, r.digest, g.digest)
 				}
-				if s != refSum {
-					t.Errorf("workers=%d: summary diverged:\n  ref: %s\n  got: %s", workers, refSum, s)
+				if got := sha256Hex(r.summary); got != g.summary {
+					t.Errorf("workers=%d: summary digest %s, want %s\n  summary: %s", workers, got, g.summary, r.summary)
 				}
-				if e != refExport {
+				if r.trace != g.trace {
+					t.Errorf("workers=%d: Chrome trace digest %s, want %s", workers, r.trace, g.trace)
+				}
+				if r.events != g.events {
+					t.Errorf("workers=%d: %d kernel events, want %d", workers, r.events, g.events)
+				}
+				if workers == -1 {
+					refExport = r.export
+				} else if r.export != refExport {
 					t.Errorf("workers=%d: export digest diverged", workers)
 				}
 			}
@@ -92,18 +151,25 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 // TestReplaySameSeedRepeat replays the identical configuration twice:
 // byte-identical everything, the smoke test's two-run contract.
 func TestReplaySameSeedRepeat(t *testing.T) {
-	d1, s1, e1 := replayOnce(t, 2, true)
-	d2, s2, e2 := replayOnce(t, 2, true)
-	if d1 != d2 || s1 != s2 || e1 != e2 {
+	r1 := replayOnce(t, 2, true)
+	r2 := replayOnce(t, 2, true)
+	if r1 != r2 {
 		t.Errorf("same-seed repeat diverged: digest %v summary %v export %v",
-			d1 == d2, s1 == s2, e1 == e2)
+			r1.digest == r2.digest, r1.summary == r2.summary, r1.export == r2.export)
 	}
 }
 
 // TestPreemptionDeterminism replays the preemption-heavy trace from
 // TestPreemptionOnArrival across worker counts: revocation points ride
-// on Charge quanta, which live entirely in virtual time.
+// on Charge quanta, which live entirely in virtual time. The completion
+// digest, pre-emption count and event count are pinned, so pre-empted
+// attempts that abandon a forked scan cannot move the schedule either.
 func TestPreemptionDeterminism(t *testing.T) {
+	const (
+		wantDigest   = "64e2c4ed36b81f5fa6b90dc947aa9aec9a5f6ab6ae012abbb4f779485815d480"
+		wantPreempts = 7
+		wantEvents   = 1818
+	)
 	run := func(workers int) (string, int) {
 		reg := obs.New()
 		reg.SetProcess("scidpd")
@@ -127,6 +193,15 @@ func TestPreemptionDeterminism(t *testing.T) {
 		sum, err := Replay(svc, tr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if d := svc.Digest(); d != wantDigest {
+			t.Errorf("workers=%d: completion digest %s, want %s", workers, d, wantDigest)
+		}
+		if sum.Preemptions != wantPreempts {
+			t.Errorf("workers=%d: %d preemptions, want %d", workers, sum.Preemptions, wantPreempts)
+		}
+		if n := env.K.EventsProcessed(); n != wantEvents {
+			t.Errorf("workers=%d: %d kernel events, want %d", workers, n, wantEvents)
 		}
 		return svc.Digest() + "|" + RegistryDigest(reg), sum.Preemptions
 	}

@@ -230,6 +230,7 @@ type Service struct {
 	be  *workloads.HDFSBackend
 
 	inputs     []string // shared read-only input files
+	zeroBuf    []byte   // read-only payload of written outputs; see zeros
 	totalSlots int
 
 	tenants map[string]*Tenant

@@ -98,17 +98,16 @@ func (in *hdfsBlockInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split,
 	var err error
 	key := "hdfs#" + s.Label
 	tc.Phase("Read", func() {
-		// Tier entries are shared read-only, but workload tasks mutate
-		// their block bytes in place (sort), so both directions copy.
+		// Tier entries and HDFS blocks are both shared read-only, and no
+		// map function writes into its input, so neither direction copies.
 		if v, ok := in.tier.Read(tc.Proc(), tc.Node().Name, key); ok {
-			data = append([]byte(nil), v...)
+			data = v
 			return
 		}
 		data, err = in.fs.ReadBlock(tc.Proc(), tc.Node(), s.Payload.(*hdfs.Block))
 		if err == nil {
 			in.tier.MissOST(int64(len(data)))
-			in.tier.Admit(tc.Proc(), tc.Node().Name, key,
-				append([]byte(nil), data...), int64(len(data)))
+			in.tier.Admit(tc.Proc(), tc.Node().Name, key, data, int64(len(data)))
 		}
 	})
 	if err != nil {
@@ -353,13 +352,14 @@ func RunGrep(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, input
 		Input: be.Input(inputs, cfg.SplitSize),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			data := value.([]byte)
+			// The real scan is pure byte work: fork it onto the data
+			// plane as the Scan charge that models it starts.
+			var n int64
+			fut := tc.Proc().Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
 			if cfg.ScanPerMB > 0 {
 				tc.Charge("Scan", cfg.ScanPerMB*float64(len(data))/1e6)
 			}
-			// The real scan is pure byte work — run it on the data plane
-			// (its modeled cost is the Charge above).
-			var n int64
-			tc.Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
+			tc.Proc().Await(fut)
 			tc.Emit("count", n)
 			return nil
 		},
@@ -399,16 +399,18 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 		},
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			data := value.([]byte)
-			if cfg.ScanPerMB > 0 {
-				tc.Charge("Scan", cfg.ScanPerMB*float64(len(data))/1e6)
-			}
 			// Record extraction (key slicing + emit into the partition
-			// buckets) is pure byte work: offload it whole.
-			tc.Compute(func() {
+			// buckets) is pure byte work: fork it whole as the Scan
+			// charge starts.
+			fut := tc.Proc().Compute(func() {
 				for off := 0; off+rec <= len(data); off += rec {
 					tc.Emit(string(data[off:off+10]), data[off:off+rec])
 				}
 			})
+			if cfg.ScanPerMB > 0 {
+				tc.Charge("Scan", cfg.ScanPerMB*float64(len(data))/1e6)
+			}
+			tc.Proc().Await(fut)
 			return nil
 		},
 		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
